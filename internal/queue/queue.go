@@ -37,6 +37,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"asynctp/internal/simnet"
@@ -147,6 +148,10 @@ type outMsg struct {
 	backoff time.Duration
 	// attempts counts (re)transmissions after the first flush.
 	attempts int
+	// logPos is the log position of the send (state.go): it must be
+	// durable before the message reaches the wire. 0 once restored from
+	// a durable image.
+	logPos uint64
 }
 
 // TxBuffer stages messages inside a transaction. It is not safe for
@@ -296,8 +301,18 @@ type Manager struct {
 	maxBackoff time.Duration
 	legacy     bool
 	flushCrash func() bool
-	persist    func(State) error // receive-side durability barrier (WithPersist)
+	persist    func(State) error // durability hook fed by Sync (WithPersist)
 	obs        Observer
+
+	// persistMu serializes persists and guards the durable image: image
+	// is the fold of the logged mutations taken so far, spare is the
+	// previous log's buffer, reused. durablePos is the log position the
+	// last successful persist covered (written under persistMu). Lock
+	// order: persistMu before mu.
+	persistMu  sync.Mutex
+	image      State
+	spare      []imageOp
+	durablePos atomic.Uint64
 
 	mu      sync.Mutex
 	closed  bool
@@ -319,10 +334,21 @@ type Manager struct {
 	pendingOut map[simnet.SiteID][]string
 	// pendingAcks is the per-destination cumulative-ack buffer.
 	pendingAcks map[simnet.SiteID][]string
-	flushArmed  bool
+	// unsyncedAcks holds acks for admitted frames until a Sync makes
+	// the admissions (up to log position unsyncedPos) durable and moves
+	// them to pendingAcks.
+	unsyncedAcks map[simnet.SiteID][]string
+	unsyncedPos  uint64
+	flushArmed   bool
+	// log holds the durable mutations not yet folded into the image;
+	// logPos is the position of the newest one (state.go).
+	log    []imageOp
+	logPos uint64
 
-	stop chan struct{}
-	done chan struct{}
+	// kick asks the sync loop to persist now (buffered, one slot).
+	kick  chan struct{}
+	stop  chan struct{}
+	loops sync.WaitGroup // the retransmit and sync loops
 }
 
 // NewManager builds the endpoint for site and starts the retransmitter.
@@ -333,21 +359,22 @@ func NewManager(site simnet.SiteID, net simnet.Sender, retransmitEvery time.Dura
 		retransmitEvery = 50 * time.Millisecond
 	}
 	m := &Manager{
-		site:        site,
-		net:         net,
-		interval:    retransmitEvery,
-		maxBatch:    64,
-		flushDelay:  200 * time.Microsecond,
-		nextSeq:     make(map[simnet.SiteID]uint64),
-		outbox:      make(map[string]*outMsg),
-		queues:      make(map[string][]Msg),
-		inflight:    make(map[string]Msg),
-		seen:        make(map[simnet.SiteID]*seenSet),
-		notify:      make(map[string]chan struct{}),
-		pendingOut:  make(map[simnet.SiteID][]string),
-		pendingAcks: make(map[simnet.SiteID][]string),
-		stop:        make(chan struct{}),
-		done:        make(chan struct{}),
+		site:         site,
+		net:          net,
+		interval:     retransmitEvery,
+		maxBatch:     64,
+		flushDelay:   200 * time.Microsecond,
+		nextSeq:      make(map[simnet.SiteID]uint64),
+		outbox:       make(map[string]*outMsg),
+		queues:       make(map[string][]Msg),
+		inflight:     make(map[string]Msg),
+		seen:         make(map[simnet.SiteID]*seenSet),
+		notify:       make(map[string]chan struct{}),
+		pendingOut:   make(map[simnet.SiteID][]string),
+		pendingAcks:  make(map[simnet.SiteID][]string),
+		unsyncedAcks: make(map[simnet.SiteID][]string),
+		kick:         make(chan struct{}, 1),
+		stop:         make(chan struct{}),
 	}
 	for _, opt := range opts {
 		opt(m)
@@ -355,27 +382,45 @@ func NewManager(site simnet.SiteID, net simnet.Sender, retransmitEvery time.Dura
 	if m.maxBackoff <= 0 {
 		m.maxBackoff = 16 * m.interval
 	}
+	m.loops.Add(1)
 	go m.retransmitLoop(retransmitEvery)
+	if m.persist != nil {
+		m.loops.Add(1)
+		go m.syncLoop()
+	}
 	return m
 }
 
-// Close stops the retransmitter and waits for it to exit.
+// Close stops the retransmitter and the sync loop and waits for them
+// to exit.
 func (m *Manager) Close() {
 	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		<-m.done
-		return
+	if !m.closed {
+		m.closed = true
+		close(m.stop)
 	}
-	m.closed = true
 	m.mu.Unlock()
-	close(m.stop)
-	<-m.done
+	m.loops.Wait()
+}
+
+// syncLoop starts a persist as soon as a flush is armed (kick), so the
+// persist that must precede the flush's frames (flush, syncTo) runs
+// during the coalescing window instead of after it.
+func (m *Manager) syncLoop() {
+	defer m.loops.Done()
+	for {
+		select {
+		case <-m.kick:
+			_ = m.Sync() // a failure leaves the work to the flush's own Sync
+		case <-m.stop:
+			return
+		}
+	}
 }
 
 // retransmitLoop periodically re-sends due unacked outbox messages.
 func (m *Manager) retransmitLoop(every time.Duration) {
-	defer close(m.done)
+	defer m.loops.Done()
 	ticker := time.NewTicker(every)
 	defer ticker.Stop()
 	for {
@@ -397,10 +442,15 @@ func (m *Manager) retransmitLoop(every time.Duration) {
 func (m *Manager) legacyTransmitOutbox() {
 	m.mu.Lock()
 	pending := make([]outMsg, 0, len(m.outbox))
+	var need uint64
 	for _, om := range m.outbox {
 		pending = append(pending, *om)
+		need = max(need, om.logPos)
 	}
 	m.mu.Unlock()
+	if err := m.syncTo(need); err != nil {
+		return // not durable yet: the next tick retries
+	}
 	for _, om := range pending {
 		// Errors are expected while partitioned/down; the tick retries.
 		_ = m.net.Send(simnet.Message{
@@ -422,6 +472,7 @@ func (m *Manager) retransmitDue() {
 		return
 	}
 	byDest := make(map[simnet.SiteID][]Msg)
+	var need uint64
 	for _, om := range m.outbox {
 		if om.nextSend.After(now) {
 			continue
@@ -433,6 +484,7 @@ func (m *Manager) retransmitDue() {
 		}
 		om.nextSend = now.Add(om.backoff)
 		byDest[om.to] = append(byDest[om.to], om.msg)
+		need = max(need, om.logPos)
 	}
 	frames := make([]simnet.Message, 0, len(byDest))
 	for to, msgs := range byDest {
@@ -443,9 +495,11 @@ func (m *Manager) retransmitDue() {
 		delete(m.pendingAcks, to)
 		frames = append(frames, m.framesForLocked(to, msgs, acks)...)
 	}
-	obs := m.obs
 	m.mu.Unlock()
-	if obs != nil {
+	if err := m.syncTo(need); err != nil {
+		return // not durable: the pushed-out deadlines retry later
+	}
+	if obs := m.obs; obs != nil {
 		for to, msgs := range byDest {
 			obs.Retransmitted(to, len(msgs))
 		}
@@ -501,6 +555,7 @@ func (m *Manager) CommitSend(b *TxBuffer) {
 		om.msg.From = m.site
 		o := &outMsg{msg: om.msg, to: om.to, nextSend: now.Add(m.interval), backoff: m.interval}
 		m.outbox[o.msg.ID] = o
+		o.logPos = m.logLocked(imageOp{kind: opSend, to: om.to, msg: o.msg})
 		if m.obs != nil {
 			m.obs.Sent(om.to, o.msg)
 		}
@@ -535,6 +590,10 @@ func (m *Manager) armFlushLocked() {
 		return
 	}
 	m.flushArmed = true
+	select {
+	case m.kick <- struct{}{}:
+	default: // a persist is already requested
+	}
 	time.AfterFunc(m.flushDelay, func() {
 		m.mu.Lock()
 		m.flushArmed = false
@@ -544,38 +603,57 @@ func (m *Manager) armFlushLocked() {
 }
 
 // flush drains the coalescing buffers into wire frames and sends them.
-// In legacy mode it degenerates to one frame per pending message with
-// immediate single acks.
+// The image covering the drained messages, and the admissions behind
+// the acks waiting on durability, is made durable first (syncTo); acks
+// then ride the data frames to their destinations, or standalone ack
+// frames.
 func (m *Manager) flush() {
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
 		return
 	}
-	if m.flushCrash != nil &&
-		(len(m.pendingOut) > 0 || len(m.pendingAcks) > 0) && m.flushCrash() {
-		// Injected crash mid-flush: the volatile coalescing buffers die
-		// with the site. The messages themselves stay durable in the
-		// outbox; after Restore the retransmitter replays them.
-		m.pendingOut = make(map[simnet.SiteID][]string)
-		m.pendingAcks = make(map[simnet.SiteID][]string)
-		m.mu.Unlock()
-		return
-	}
-	var frames []simnet.Message
-	type flushed struct {
-		to         simnet.SiteID
-		msgs, acks int
-	}
-	var report []flushed
+	pending := len(m.pendingOut) > 0
+	byDest := make(map[simnet.SiteID][]Msg, len(m.pendingOut))
+	var need uint64
 	for to, ids := range m.pendingOut {
 		msgs := make([]Msg, 0, len(ids))
 		for _, id := range ids {
 			if om, ok := m.outbox[id]; ok { // acked-before-flush entries skip
 				msgs = append(msgs, om.msg)
+				need = max(need, om.logPos)
 			}
 		}
 		delete(m.pendingOut, to)
+		if len(msgs) > 0 {
+			byDest[to] = msgs
+		}
+	}
+	if len(m.unsyncedAcks) > 0 {
+		need = max(need, m.unsyncedPos)
+	}
+	m.mu.Unlock()
+	if err := m.syncTo(need); err != nil {
+		// Not durable: nothing may reach the wire. The messages stay in
+		// the outbox for the retransmitter; the acks wait for a Sync
+		// that succeeds.
+		return
+	}
+	type flushed struct {
+		to         simnet.SiteID
+		msgs, acks int
+	}
+	var (
+		frames []simnet.Message
+		report []flushed
+	)
+	m.mu.Lock()
+	if m.closed {
+		m.mu.Unlock()
+		return
+	}
+	pending = pending || len(m.pendingAcks) > 0
+	for to, msgs := range byDest {
 		acks := m.pendingAcks[to]
 		delete(m.pendingAcks, to)
 		frames = append(frames, m.framesForLocked(to, msgs, acks)...)
@@ -592,9 +670,14 @@ func (m *Manager) flush() {
 			report = append(report, flushed{to: to, msgs: 0, acks: len(acks)})
 		}
 	}
-	obs := m.obs
 	m.mu.Unlock()
-	if obs != nil {
+	if pending && m.flushCrash != nil && m.flushCrash() {
+		// Injected crash mid-flush: the drained coalescing buffers die
+		// with the site. The messages themselves are durable in the
+		// outbox; after Restore the retransmitter replays them.
+		return
+	}
+	if obs := m.obs; obs != nil {
 		for _, f := range report {
 			obs.Flushed(f.to, f.msgs, f.acks)
 		}
@@ -634,6 +717,7 @@ func (m *Manager) admitLocked(qm Msg) {
 	ss.add(seq)
 	qm.ArrivedAt = time.Now().UnixNano()
 	m.queues[qm.Queue] = append(m.queues[qm.Queue], qm)
+	m.logLocked(imageOp{kind: opAdmit, prefix: ss.prefix, msg: qm})
 	if m.obs != nil {
 		m.obs.Delivered(qm)
 	}
@@ -652,16 +736,10 @@ func (m *Manager) Handle(msg simnet.Message) {
 		}
 		m.mu.Lock()
 		m.admitLocked(qm)
-		var snap State
-		if m.persist != nil {
-			snap = m.snapshotLocked()
-		}
 		m.mu.Unlock()
-		if m.persist != nil {
-			if err := m.persist(snap); err != nil {
-				// Not durable: withhold the ack so the sender retransmits.
-				return
-			}
+		if err := m.Sync(); err != nil {
+			// Not durable: withhold the ack so the sender retransmits.
+			return
 		}
 		// Legacy dialect: always ack immediately and individually, even
 		// duplicates — the first ack may have been lost.
@@ -678,33 +756,26 @@ func (m *Manager) Handle(msg simnet.Message) {
 			m.admitLocked(qm)
 		}
 		for _, id := range frame.Acks {
-			delete(m.outbox, id)
+			m.ackedLocked(id)
 		}
-		var snap State
-		if m.persist != nil && len(frame.Msgs) > 0 {
-			snap = m.snapshotLocked()
-		}
-		m.mu.Unlock()
-		if m.persist != nil && len(frame.Msgs) > 0 {
-			// Durability barrier before the ack: the sender deletes its
-			// outbox copy on ack, so the admitted messages must be in the
-			// durable queue image first. On error no ack is staged and the
-			// sender's retransmission redelivers (dedup absorbs it).
-			if err := m.persist(snap); err != nil {
-				return
-			}
-		}
-		m.mu.Lock()
 		// One cumulative ack covers the whole frame — duplicates
 		// included, since the previous ack may have been lost. It rides
 		// the next outgoing batch to msg.From if one is pending, else a
-		// standalone ack frame after the coalescing window.
+		// standalone ack frame after the coalescing window. Durability
+		// barrier: the sender deletes its outbox copy on ack, so the ack
+		// waits in unsyncedAcks until a Sync has made the admitted
+		// messages durable (the flush runs one); until then the sender
+		// retransmits and dedup absorbs the redelivery. The dispatch loop
+		// never waits on a persist.
 		if len(frame.Msgs) > 0 {
-			ids := make([]string, len(frame.Msgs))
-			for i, qm := range frame.Msgs {
-				ids[i] = qm.ID
+			acks := m.pendingAcks
+			if m.persist != nil {
+				acks = m.unsyncedAcks
+				m.unsyncedPos = m.logPos
 			}
-			m.pendingAcks[msg.From] = append(m.pendingAcks[msg.From], ids...)
+			for _, qm := range frame.Msgs {
+				acks[msg.From] = append(acks[msg.From], qm.ID)
+			}
 		}
 		flushNow := m.flushDelay <= 0
 		if !flushNow {
@@ -720,7 +791,7 @@ func (m *Manager) Handle(msg simnet.Message) {
 			return
 		}
 		m.mu.Lock()
-		delete(m.outbox, id)
+		m.ackedLocked(id)
 		m.mu.Unlock()
 	case KindAckBatch:
 		frame, ok := msg.Payload.(AckFrame)
@@ -729,9 +800,18 @@ func (m *Manager) Handle(msg simnet.Message) {
 		}
 		m.mu.Lock()
 		for _, id := range frame.IDs {
-			delete(m.outbox, id)
+			m.ackedLocked(id)
 		}
 		m.mu.Unlock()
+	}
+}
+
+// ackedLocked retires an acknowledged outbox entry; duplicate acks are
+// no-ops. Callers hold m.mu.
+func (m *Manager) ackedLocked(id string) {
+	if _, ok := m.outbox[id]; ok {
+		delete(m.outbox, id)
+		m.logLocked(imageOp{kind: opAcked, id: id})
 	}
 }
 
@@ -752,6 +832,7 @@ func (d *Delivery) Ack() {
 	}
 	d.settled = true
 	delete(d.mgr.inflight, d.Msg.ID)
+	d.mgr.logLocked(imageOp{kind: opConsume, id: d.Msg.ID})
 }
 
 // Nack returns the message to the front of its queue: the receiving
@@ -765,6 +846,7 @@ func (d *Delivery) Nack() {
 	d.settled = true
 	delete(d.mgr.inflight, d.Msg.ID)
 	d.mgr.queues[d.Msg.Queue] = append([]Msg{d.Msg}, d.mgr.queues[d.Msg.Queue]...)
+	d.mgr.logLocked(imageOp{kind: opNack, msg: d.Msg})
 	d.mgr.wakeLocked(d.Msg.Queue)
 }
 
@@ -852,6 +934,7 @@ func (m *Manager) DequeueBatch(ctx context.Context, queueName string, max int) (
 				batch.Deliveries = append(batch.Deliveries, &Delivery{Msg: q[i], mgr: m})
 			}
 			m.queues[queueName] = q[n:]
+			m.logLocked(imageOp{kind: opDequeue, id: queueName, n: n})
 			m.mu.Unlock()
 			return batch, nil
 		}
@@ -934,10 +1017,12 @@ type SeenState struct {
 	Sparse []uint64
 }
 
-// Snapshot captures the durable state: committed outbox, deliverable
-// queues, in-flight deliveries, and the dedup watermarks. Cost is
-// proportional to live state — the watermark keeps the dedup component
-// O(in-flight window) rather than O(messages ever received).
+// Snapshot copies the live state that the durable image mirrors:
+// committed outbox, deliverable queues, in-flight deliveries, and the
+// dedup watermarks. Cost is proportional to live state — the watermark
+// keeps the dedup component O(in-flight window) rather than
+// O(messages ever received). Persistence does not use it: Sync keeps
+// the image incrementally.
 func (m *Manager) Snapshot() State {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -949,6 +1034,8 @@ func (m *Manager) Snapshot() State {
 // (at-least-once); restored outbox messages are due for immediate
 // retransmission on the next tick.
 func (m *Manager) Restore(st State) {
+	m.persistMu.Lock()
+	defer m.persistMu.Unlock()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	now := time.Now()
@@ -980,5 +1067,15 @@ func (m *Manager) Restore(st State) {
 	// made it to the wire or is replayed from the outbox.
 	m.pendingOut = make(map[simnet.SiteID][]string)
 	m.pendingAcks = make(map[simnet.SiteID][]string)
+	m.unsyncedAcks = make(map[simnet.SiteID][]string)
+	// The durable image restarts from the restored state (fresh maps:
+	// st may be the very image a mem backend holds), and the next Sync
+	// persists it.
+	clear(m.log)
+	m.log = m.log[:0]
+	if m.persist != nil {
+		m.image = m.snapshotLocked()
+		m.logPos++ // the rebuilt image is not persisted yet
+	}
 	m.wakeAllLocked()
 }

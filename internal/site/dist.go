@@ -683,10 +683,12 @@ func (s *Site) stageChildren(act activation, dp *distProgram) {
 			t0 = time.Now().UnixNano()
 		}
 		s.queues.CommitSend(buf)
-		s.persistQueues()
 		if t0 > 0 {
-			// The durable-enqueue wait (queue image persistence — a real
-			// fsync under the disk driver) is the piece's fsync phase.
+			// The durable-enqueue wait is the piece's fsync phase:
+			// CommitSend persists the queue image itself (a real fsync
+			// under the disk driver) when it flushes a full batch;
+			// otherwise the flush that puts the children on the wire
+			// persists it first, off this worker.
 			obsP.SpanFsync(act.Inst, obs.PieceSpanID(act.Inst, act.Piece, false),
 				act.Piece, false, t0, time.Now().UnixNano())
 		}
@@ -997,10 +999,13 @@ func (s *Site) workerLoop(stop <-chan struct{}) {
 			for i := len(batch.Deliveries) - 1; i >= processed; i-- {
 				batch.Deliveries[i].Nack()
 			}
-			s.persistQueues()
+			_ = s.queues.Sync()
 			return
 		}
-		s.persistQueues()
+		// Make the batch's acks durable. Errors are not fatal: the
+		// image stays dirty for the next Sync, and until then a crash
+		// redelivers the acked activations, which dedup absorbs.
+		_ = s.queues.Sync()
 	}
 }
 
@@ -1069,7 +1074,6 @@ func (s *Site) stageRollback(act activation, dp *distProgram, reports map[simnet
 	}
 	if buf.Len() > 0 {
 		s.queues.CommitSend(buf)
-		s.persistQueues()
 	}
 	reports[act.Origin] = append(reports[act.Origin], pieceDone{Inst: act.Inst, RolledAt: act.Piece, Ctx: rbCtx})
 }
@@ -1113,7 +1117,6 @@ func (s *Site) flushReports(reports map[simnet.SiteID][]pieceDone) {
 	}
 	if buf.Len() > 0 {
 		s.queues.CommitSend(buf)
-		s.persistQueues()
 	}
 }
 

@@ -384,9 +384,11 @@ func NewCluster(cfg Config, opts ...Option) (*Cluster, error) {
 		if qObs := cfg.Obs.QueueObserver(id); qObs != nil {
 			qOpts = append(qOpts, queue.WithObserver(qObs))
 		}
-		// Persist-before-ack: the endpoint's durable image is written (and,
-		// under the disk driver, fsynced) before any received frame is
-		// acknowledged, so an acked message is never lost to kill -9.
+		// Persist-before-ack and persist-before-wire: the endpoint's
+		// durable image is written (and, under the disk driver, fsynced)
+		// before any received frame is acknowledged and before any
+		// committed message is sent, so an acked message is never lost to
+		// kill -9 and a sent sequence number is never reissued after it.
 		qOpts = append(qOpts, queue.WithPersist(be.SaveQueues))
 		s.queues = queue.NewManager(id, c.Net, cfg.RetransmitEvery, qOpts...)
 		// A disk backend opened over an existing image (a process restart
@@ -451,8 +453,8 @@ func (c *Cluster) dispatch(s *Site, inbox <-chan simnet.Message) {
 			}
 			switch {
 			case queue.IsQueueKind(msg.Kind):
-				// Enqueue frames persist the durable queue image inside
-				// Handle (WithPersist), before their acks are staged.
+				// A frame's ack waits for the Sync that makes its admitted
+				// messages durable (WithPersist); Handle never blocks on it.
 				s.queues.Handle(msg)
 			case msg.Kind == KindPieceDone:
 				c.handleDone(msg)
@@ -477,14 +479,6 @@ func (s *Site) isCrashed() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.crashed
-}
-
-// persistQueues refreshes the durable queue image. Errors are not fatal
-// here: the image on disk stays one frame stale, senders retransmit the
-// unacked messages, and the watermark dedup absorbs the redelivery —
-// the same at-least-once argument that covers a crash at this point.
-func (s *Site) persistQueues() {
-	_ = s.backend.SaveQueues(s.queues.Snapshot())
 }
 
 // Crash simulates a site failure: volatile state (locks, in-flight

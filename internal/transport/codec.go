@@ -9,14 +9,19 @@
 //
 //	[len u32 LE][crc32(payload) u32 LE][payload]
 //
-// with the payload a gob-encoded simnet.Message. A frame is the unit of
-// loss: a torn or corrupt frame kills the connection (the reader can no
-// longer trust its offset) and the reliable layers above — recoverable-
-// queue retransmission and watermark dedup — recover, exactly as they
-// do for a dropped simnet frame. Payload types inside Message ride gob
-// and must be registered via queue.RegisterPayloadType in every
-// process, which the queue and site packages already do for the whole
-// chopped-queue protocol.
+// with the payload one simnet.Message on the connection's gob stream:
+// each connection carries one gob stream, so a type's descriptor
+// crosses it once, in the first frame that uses the type. A frame is
+// still the unit of loss: a torn or corrupt frame kills the connection
+// (the reader can no longer trust its offset or its stream), both ends
+// start a fresh stream on the redial, and the reliable layers above —
+// recoverable-queue retransmission and watermark dedup — recover,
+// exactly as they do for a dropped simnet frame. Frames shed before
+// the wire (a full send queue, emulated loss) are never encoded, so
+// they cannot desynchronize a stream. Payload types inside Message
+// ride gob and must be registered via queue.RegisterPayloadType in
+// every process, which the queue and site packages already do for the
+// whole chopped-queue protocol.
 package transport
 
 import (
@@ -51,26 +56,16 @@ var (
 	ErrFrameTooLarge = errors.New("transport: frame exceeds size bound")
 	// ErrFrameCorrupt reports a CRC mismatch or a zero-length frame.
 	ErrFrameCorrupt = errors.New("transport: frame failed checksum")
-	// ErrBadPayload reports a frame whose bytes do not decode to a
-	// simnet.Message (unregistered payload type, truncated gob stream).
+	// ErrBadPayload reports a frame whose bytes do not decode to exactly
+	// one simnet.Message (unregistered payload type, truncated or
+	// trailing gob data, a stream out of step with its sender).
 	ErrBadPayload = errors.New("transport: frame payload does not decode")
 )
-
-// EncodeMessage gob-encodes msg into a frame payload. Every concrete
-// Payload type must be gob-registered (queue.RegisterPayloadType).
-func EncodeMessage(msg simnet.Message) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&msg); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
-	}
-	return buf.Bytes(), nil
-}
 
 // AppendFrame appends the framed payload to dst and returns the
 // extended slice. This is the encode hot path: with sufficient
 // capacity in dst it performs zero allocations (AllocsPerRun-pinned),
-// so the per-peer writer reuses one buffer across a whole coalescing
-// window.
+// so each connection's writer reuses one frame buffer.
 func AppendFrame(dst, payload []byte) []byte {
 	var hdr [frameHeader]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
@@ -79,58 +74,93 @@ func AppendFrame(dst, payload []byte) []byte {
 	return append(dst, payload...)
 }
 
-// EncodeFrame frames msg for the wire: gob payload wrapped in the
-// length/CRC header.
-func EncodeFrame(msg simnet.Message) ([]byte, error) {
-	payload, err := EncodeMessage(msg)
-	if err != nil {
-		return nil, err
-	}
-	return AppendFrame(make([]byte, 0, frameHeader+len(payload)), payload), nil
-}
-
-// DecodeFrame decodes one frame from the front of b, returning the
-// message and the number of bytes consumed. Errors:
-//
-//   - io.ErrUnexpectedEOF: b ends mid-frame (torn tail). consumed is 0.
-//   - ErrFrameTooLarge / ErrFrameCorrupt: structural corruption; the
-//     byte stream is unusable from here on.
-//   - ErrBadPayload: framing intact but the gob payload is bad.
-//
-// The decoder validates the length field BEFORE allocating or slicing,
-// so corrupt input can never make it over-allocate.
-func DecodeFrame(b []byte) (msg simnet.Message, consumed int, err error) {
-	if len(b) < frameHeader {
-		return simnet.Message{}, 0, io.ErrUnexpectedEOF
-	}
-	length := binary.LittleEndian.Uint32(b[0:4])
+// frameLength validates a header's length field BEFORE anything is
+// allocated or sliced, so a corrupt length can never make a decoder
+// over-allocate.
+func frameLength(hdr []byte) (int, error) {
+	length := binary.LittleEndian.Uint32(hdr[0:4])
 	if length == 0 {
-		return simnet.Message{}, 0, ErrFrameCorrupt
+		return 0, ErrFrameCorrupt
 	}
 	if length > MaxFrame {
-		return simnet.Message{}, 0, ErrFrameTooLarge
+		return 0, ErrFrameTooLarge
 	}
-	total := frameHeader + int(length)
-	if len(b) < total {
-		return simnet.Message{}, 0, io.ErrUnexpectedEOF
-	}
-	payload := b[frameHeader:total]
-	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(b[4:8]) {
-		return simnet.Message{}, 0, ErrFrameCorrupt
-	}
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&msg); err != nil {
-		return simnet.Message{}, 0, fmt.Errorf("%w: %v", ErrBadPayload, err)
-	}
-	return msg, total, nil
+	return int(length), nil
 }
 
-// ReadFrame reads one frame from a stream. The length field is
-// validated before any payload allocation: a corrupt 4 GiB length
-// costs nothing but the 8 header bytes already read. io.EOF is
-// returned only at a clean frame boundary; a connection dying
-// mid-frame surfaces io.ErrUnexpectedEOF (the TCP analog of the WAL's
-// torn tail).
-func ReadFrame(r *bufio.Reader) (simnet.Message, error) {
+// streamEncoder is the sending half of one connection's gob stream. A
+// gob stream describes each type once — the first frame that carries a
+// type also carries its descriptor — so the encoder lives exactly as
+// long as its connection and is replaced on every (re)dial, when the
+// receiver starts a fresh decoder too.
+type streamEncoder struct {
+	enc   *gob.Encoder
+	out   bytes.Buffer // this frame's gob output, reused
+	frame []byte       // this frame on the wire, reused
+}
+
+func newStreamEncoder() *streamEncoder {
+	e := &streamEncoder{}
+	e.enc = gob.NewEncoder(&e.out)
+	return e
+}
+
+// encode encodes msg onto the stream and returns it as one wire frame.
+// The slice is only valid until the next call. An error poisons the
+// stream: gob may already count type descriptors as sent that no frame
+// will carry, so the caller must drop the connection and this encoder.
+func (e *streamEncoder) encode(msg simnet.Message) ([]byte, error) {
+	e.out.Reset()
+	if err := e.enc.Encode(&msg); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
+	}
+	e.frame = AppendFrame(e.frame[:0], e.out.Bytes())
+	return e.frame, nil
+}
+
+// streamDecoder is the receiving half of one connection's gob stream:
+// one gob.Decoder fed frame by frame, after each frame's length and CRC
+// checks, so type descriptors are parsed once per connection and the
+// compiled decoders are reused. Every frame must hold exactly one
+// message; anything else is corruption and kills the connection.
+type streamDecoder struct {
+	dec *gob.Decoder
+	in  bytes.Reader // the current frame's payload
+	buf []byte       // payload buffer, reused across frames
+}
+
+func newStreamDecoder() *streamDecoder {
+	d := &streamDecoder{}
+	// bytes.Reader is an io.ByteReader, so gob reads it directly
+	// instead of wrapping it in a read-ahead bufio.Reader: the decoder
+	// can never see past the frame it is handed.
+	d.dec = gob.NewDecoder(&d.in)
+	return d
+}
+
+// decode decodes one CRC-checked frame payload. The payload must be a
+// whole number of gob messages — checked before gob sees it, so a
+// corrupt gob count cannot make gob allocate for bytes the frame does
+// not hold — and decoding one Message must consume all of it.
+func (d *streamDecoder) decode(payload []byte) (simnet.Message, error) {
+	if !wholeGobMessages(payload) {
+		return simnet.Message{}, fmt.Errorf("%w: gob message counts do not tile the frame", ErrBadPayload)
+	}
+	d.in.Reset(payload)
+	var msg simnet.Message
+	if err := d.dec.Decode(&msg); err != nil {
+		return simnet.Message{}, fmt.Errorf("%w: %v", ErrBadPayload, err)
+	}
+	if d.in.Len() != 0 {
+		return simnet.Message{}, fmt.Errorf("%w: %d trailing bytes", ErrBadPayload, d.in.Len())
+	}
+	return msg, nil
+}
+
+// readFrame reads and decodes the connection's next frame. io.EOF is
+// returned only at a clean frame boundary; a connection dying mid-frame
+// surfaces io.ErrUnexpectedEOF (the TCP analog of the WAL's torn tail).
+func (d *streamDecoder) readFrame(r *bufio.Reader) (simnet.Message, error) {
 	var hdr [frameHeader]byte
 	if _, err := io.ReadFull(r, hdr[:1]); err != nil {
 		if err == io.EOF {
@@ -141,23 +171,87 @@ func ReadFrame(r *bufio.Reader) (simnet.Message, error) {
 	if _, err := io.ReadFull(r, hdr[1:]); err != nil {
 		return simnet.Message{}, io.ErrUnexpectedEOF
 	}
-	length := binary.LittleEndian.Uint32(hdr[0:4])
-	if length == 0 {
-		return simnet.Message{}, ErrFrameCorrupt
+	length, err := frameLength(hdr[:])
+	if err != nil {
+		return simnet.Message{}, err
 	}
-	if length > MaxFrame {
-		return simnet.Message{}, ErrFrameTooLarge
+	if cap(d.buf) < length {
+		d.buf = make([]byte, length)
 	}
-	payload := make([]byte, length)
+	payload := d.buf[:length]
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return simnet.Message{}, io.ErrUnexpectedEOF
 	}
 	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(hdr[4:8]) {
 		return simnet.Message{}, ErrFrameCorrupt
 	}
-	var msg simnet.Message
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&msg); err != nil {
-		return simnet.Message{}, fmt.Errorf("%w: %v", ErrBadPayload, err)
+	return d.decode(payload)
+}
+
+// wholeGobMessages reports whether b is a sequence of complete gob
+// messages, each an unsigned byte count followed by that many bytes,
+// ending exactly at len(b). The count encoding is gob's: one byte below
+// 0x80, else the negated length of a big-endian uint of at most 8 bytes.
+func wholeGobMessages(b []byte) bool {
+	for len(b) > 0 {
+		n := uint64(b[0])
+		b = b[1:]
+		if n >= 0x80 {
+			k := 256 - int(n)
+			if k > 8 || k > len(b) {
+				return false
+			}
+			n = 0
+			for _, c := range b[:k] {
+				n = n<<8 | uint64(c)
+			}
+			b = b[k:]
+		}
+		if n == 0 || n > uint64(len(b)) {
+			return false
+		}
+		b = b[n:]
 	}
-	return msg, nil
+	return true
+}
+
+// EncodeFrame frames msg as the first frame of a fresh stream: the gob
+// payload carries every type descriptor it needs, so DecodeFrame (or a
+// fresh connection) decodes it on its own.
+func EncodeFrame(msg simnet.Message) ([]byte, error) {
+	return newStreamEncoder().encode(msg)
+}
+
+// DecodeFrame decodes one frame — the first frame of a fresh stream —
+// from the front of b, returning the message and the number of bytes
+// consumed. Errors:
+//
+//   - io.ErrUnexpectedEOF: b ends mid-frame (torn tail). consumed is 0.
+//   - ErrFrameTooLarge / ErrFrameCorrupt: structural corruption; the
+//     byte stream is unusable from here on.
+//   - ErrBadPayload: framing intact but the gob payload is bad or is
+//     not exactly one message.
+//
+// The length field is validated BEFORE allocating or slicing, so
+// corrupt input can never make it over-allocate.
+func DecodeFrame(b []byte) (msg simnet.Message, consumed int, err error) {
+	if len(b) < frameHeader {
+		return simnet.Message{}, 0, io.ErrUnexpectedEOF
+	}
+	length, err := frameLength(b)
+	if err != nil {
+		return simnet.Message{}, 0, err
+	}
+	total := frameHeader + length
+	if len(b) < total {
+		return simnet.Message{}, 0, io.ErrUnexpectedEOF
+	}
+	payload := b[frameHeader:total]
+	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(b[4:8]) {
+		return simnet.Message{}, 0, ErrFrameCorrupt
+	}
+	if msg, err = newStreamDecoder().decode(payload); err != nil {
+		return simnet.Message{}, 0, err
+	}
+	return msg, total, nil
 }

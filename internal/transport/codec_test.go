@@ -116,18 +116,21 @@ func TestReadFrameStream(t *testing.T) {
 		testMsg(),
 		{From: "LA", To: "NY", Kind: queue.KindAckBatch,
 			Payload: queue.AckFrame{IDs: []string{"NY->LA#1"}}},
+		testMsg(),
 	}
+	enc := newStreamEncoder()
 	var wire []byte
 	for _, m := range msgs {
-		frame, err := EncodeFrame(m)
+		frame, err := enc.encode(m)
 		if err != nil {
 			t.Fatalf("encode: %v", err)
 		}
 		wire = append(wire, frame...)
 	}
+	dec := newStreamDecoder()
 	br := bufio.NewReader(bytes.NewReader(wire))
 	for i, want := range msgs {
-		got, err := ReadFrame(br)
+		got, err := dec.readFrame(br)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
@@ -135,16 +138,84 @@ func TestReadFrameStream(t *testing.T) {
 			t.Fatalf("frame %d mismatch:\n got  %+v\n want %+v", i, got, want)
 		}
 	}
-	if _, err := ReadFrame(br); err != io.EOF {
+	if _, err := dec.readFrame(br); err != io.EOF {
 		t.Fatalf("clean end of stream: want io.EOF, got %v", err)
 	}
 	// A stream dying mid-frame is a torn tail, not a clean EOF.
+	dec = newStreamDecoder()
 	br = bufio.NewReader(bytes.NewReader(wire[:len(wire)-3]))
-	if _, err := ReadFrame(br); err != nil {
-		t.Fatalf("first frame of torn stream: %v", err)
+	for i := 0; i < len(msgs)-1; i++ {
+		if _, err := dec.readFrame(br); err != nil {
+			t.Fatalf("frame %d of torn stream: %v", i, err)
+		}
 	}
-	if _, err := ReadFrame(br); !errors.Is(err, io.ErrUnexpectedEOF) {
+	if _, err := dec.readFrame(br); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("torn tail: want ErrUnexpectedEOF, got %v", err)
+	}
+}
+
+// TestStreamSendsTypesOnce pins the point of the per-connection stream:
+// a repeated message shape costs its type descriptors only in the first
+// frame, and a later frame is meaningless without the stream before it.
+func TestStreamSendsTypesOnce(t *testing.T) {
+	enc := newStreamEncoder()
+	first, err := enc.encode(testMsg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	first = append([]byte(nil), first...)
+	second, err := enc.encode(testMsg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if 2*len(second) > len(first) {
+		t.Fatalf("repeat frame is %d bytes against %d for the first: descriptors re-sent", len(second), len(first))
+	}
+	// Out of its stream the repeat frame does not decode: a decoder that
+	// never saw the first frame must reject it, not guess.
+	if _, _, err := DecodeFrame(second); !errors.Is(err, ErrBadPayload) {
+		t.Fatalf("repeat frame on a fresh stream: want ErrBadPayload, got %v", err)
+	}
+	// Replaying the first frame redefines the stream's types: corrupt.
+	dec := newStreamDecoder()
+	br := bufio.NewReader(bytes.NewReader(append(append([]byte(nil), first...), first...)))
+	if _, err := dec.readFrame(br); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dec.readFrame(br); !errors.Is(err, ErrBadPayload) {
+		t.Fatalf("replayed first frame: want ErrBadPayload, got %v", err)
+	}
+}
+
+// TestStreamRejectsInexactPayload: a frame must hold exactly one
+// message. Two messages in one frame, or one message plus stray bytes,
+// is corruption even though every byte passed the CRC.
+func TestStreamRejectsInexactPayload(t *testing.T) {
+	enc := newStreamEncoder()
+	first, err := enc.encode(testMsg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	first = append([]byte(nil), first...)
+	next, err := enc.encode(testMsg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := next[frameHeader:]
+	for name, payload := range map[string][]byte{
+		"two messages":   append(append([]byte(nil), body...), body...),
+		"trailing bytes": append(append([]byte(nil), body...), 0x01, 0x00),
+		"truncated":      body[:len(body)-1],
+	} {
+		dec := newStreamDecoder()
+		wire := append(append([]byte(nil), first...), AppendFrame(nil, payload)...)
+		br := bufio.NewReader(bytes.NewReader(wire))
+		if _, err := dec.readFrame(br); err != nil {
+			t.Fatalf("%s: first frame: %v", name, err)
+		}
+		if _, err := dec.readFrame(br); !errors.Is(err, ErrBadPayload) {
+			t.Fatalf("%s: want ErrBadPayload, got %v", name, err)
+		}
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	stdnet "net"
 	"sync"
@@ -45,14 +44,15 @@ type Config struct {
 	Seed     int64
 }
 
-// peer is one outbound destination: a frame queue drained by a writer
-// goroutine that owns the connection, redials with capped backoff, and
-// coalesces — the buffered writer is flushed only when the queue goes
-// momentarily empty, so a burst of frames rides one syscall.
+// peer is one outbound destination: a message queue drained by a
+// writer goroutine that owns the connection and its gob stream,
+// redials with capped backoff, and coalesces — the buffered writer is
+// flushed only when the queue goes momentarily empty, so a burst of
+// frames rides one syscall.
 type peer struct {
 	to    simnet.SiteID
 	addr  string
-	sendq chan []byte
+	sendq chan simnet.Message
 
 	mu        sync.Mutex
 	conn      stdnet.Conn
@@ -162,7 +162,7 @@ func New(cfg Config) *Net {
 }
 
 func (t *Net) addPeer(id simnet.SiteID, addr string) *peer {
-	p := &peer{to: id, addr: addr, sendq: make(chan []byte, t.cfg.SendQueue)}
+	p := &peer{to: id, addr: addr, sendq: make(chan simnet.Message, t.cfg.SendQueue)}
 	t.peers[id] = p
 	t.wg.Add(1)
 	go t.runPeer(p)
@@ -227,12 +227,14 @@ func payloadCount(msg simnet.Message) uint64 {
 	return 1
 }
 
-// Send frames msg and hands it to the destination peer's writer. The
-// failure model mirrors the simulated network frame for frame: unknown
-// destinations error, down/partitioned destinations count Dropped and
-// return simnet.ErrUnreachable, the loss knob sheds silently, and a
-// full send queue sheds silently (backpressure as loss — queue-layer
-// retransmission recovers both).
+// Send hands msg to the destination peer's writer, which encodes it
+// onto the connection's gob stream. The failure model mirrors the
+// simulated network frame for frame: unknown destinations error,
+// down/partitioned destinations count Dropped and return
+// simnet.ErrUnreachable, the loss knob sheds silently, and a full send
+// queue sheds silently (backpressure as loss — queue-layer
+// retransmission recovers both). msg is encoded after Send returns, so
+// its payload must not be mutated afterwards.
 func (t *Net) Send(msg simnet.Message) error {
 	t.mu.Lock()
 	if t.closed {
@@ -258,87 +260,91 @@ func (t *Net) Send(msg simnet.Message) error {
 	}
 	t.mu.Unlock()
 
-	frame, err := EncodeFrame(msg)
-	if err != nil {
-		t.mu.Lock()
-		t.stats.Dropped++
-		t.mu.Unlock()
-		return err
-	}
 	select {
-	case p.sendq <- frame:
+	case p.sendq <- msg:
 	default:
-		t.mu.Lock()
-		t.stats.Dropped++
-		t.mu.Unlock()
+		t.countDropped()
 	}
 	return nil
 }
 
-// runPeer owns one outbound connection. Frames arrive on sendq; the
-// writer dials on demand with capped exponential backoff, writes
-// through a buffered writer, and flushes only when the queue goes
-// momentarily empty — a burst of retransmits or batch frames coalesces
-// into one syscall. A write error costs the frame in hand (it is
-// in-flight loss; the queue layer retransmits) and triggers a redial.
+func (t *Net) countDropped() {
+	t.mu.Lock()
+	t.stats.Dropped++
+	t.mu.Unlock()
+}
+
+// runPeer owns one outbound connection and its gob stream. Messages
+// arrive on sendq; the writer dials on demand with capped exponential
+// backoff, starts a fresh stream encoder on every (re)dial (the
+// receiver starts a fresh decoder per connection), encodes each message
+// as one frame, writes through a buffered writer, and flushes only when
+// the queue goes momentarily empty — a burst of retransmits or batch
+// frames coalesces into one syscall. A write error costs the frame in
+// hand (it is in-flight loss; the queue layer retransmits) and triggers
+// a redial; so does an encode error, which leaves the stream unusable.
 func (t *Net) runPeer(p *peer) {
 	defer t.wg.Done()
 	defer p.closeConn()
 	backoff := t.cfg.DialBackoff
-	var bw *bufio.Writer
+	var (
+		bw  *bufio.Writer
+		enc *streamEncoder
+	)
 	for {
-		var frame []byte
+		var msg simnet.Message
 		select {
 		case <-t.stop:
 			if bw != nil {
 				bw.Flush()
 			}
 			return
-		case frame = <-p.sendq:
+		case msg = <-p.sendq:
 		}
-		for {
-			if p.getConn() == nil {
-				conn, err := stdnet.DialTimeout("tcp", p.addr, time.Second)
-				if err != nil {
-					select {
-					case <-t.stop:
-						return
-					case <-time.After(backoff):
-					}
-					backoff *= 2
-					if backoff > t.cfg.MaxBackoff {
-						backoff = t.cfg.MaxBackoff
-					}
-					continue
+		for p.getConn() == nil {
+			conn, err := stdnet.DialTimeout("tcp", p.addr, time.Second)
+			if err != nil {
+				select {
+				case <-t.stop:
+					return
+				case <-time.After(backoff):
 				}
-				backoff = t.cfg.DialBackoff
-				p.setConn(conn)
-				bw = bufio.NewWriterSize(conn, 64<<10)
+				backoff *= 2
+				if backoff > t.cfg.MaxBackoff {
+					backoff = t.cfg.MaxBackoff
+				}
+				continue
 			}
-			if p.takeHalfWrite() {
-				// Test hook: a half-written frame, then the conn dies —
-				// the receiver sees a torn frame and must resynchronize
-				// on a fresh connection, never deliver garbage.
-				bw.Flush()
-				if c := p.getConn(); c != nil {
-					c.Write(frame[:len(frame)/2])
-				}
+			backoff = t.cfg.DialBackoff
+			p.setConn(conn)
+			bw = bufio.NewWriterSize(conn, 64<<10)
+			enc = newStreamEncoder()
+		}
+		frame, err := enc.encode(msg)
+		if err != nil {
+			t.countDropped()
+			p.closeConn()
+			continue
+		}
+		if p.takeHalfWrite() {
+			// Test hook: a half-written frame, then the conn dies —
+			// the receiver sees a torn frame and must resynchronize
+			// on a fresh connection, never deliver garbage.
+			bw.Flush()
+			if c := p.getConn(); c != nil {
+				c.Write(frame[:len(frame)/2])
+			}
+			p.closeConn()
+			continue
+		}
+		if _, err := bw.Write(frame); err != nil {
+			p.closeConn()
+			continue
+		}
+		if len(p.sendq) == 0 {
+			if err := bw.Flush(); err != nil {
 				p.closeConn()
-				bw = nil
-				break
 			}
-			if _, err := bw.Write(frame); err != nil {
-				p.closeConn()
-				bw = nil
-				break
-			}
-			if len(p.sendq) == 0 {
-				if err := bw.Flush(); err != nil {
-					p.closeConn()
-					bw = nil
-				}
-			}
-			break
 		}
 	}
 }
@@ -363,7 +369,8 @@ func (t *Net) acceptLoop(l stdnet.Listener) {
 	}
 }
 
-// readConn drains frames off one inbound connection. Any framing error
+// readConn drains frames off one inbound connection through the
+// connection's own stream decoder. Any framing or decoding error
 // — torn frame, bad CRC, oversized length — kills the connection; the
 // peer's writer redials and the queue layer retransmits whatever was
 // in flight. Corruption is thereby converted into frame loss, the
@@ -377,13 +384,11 @@ func (t *Net) readConn(conn stdnet.Conn) {
 		conn.Close()
 	}()
 	br := bufio.NewReaderSize(conn, 64<<10)
+	dec := newStreamDecoder()
 	for {
-		msg, err := ReadFrame(br)
+		msg, err := dec.readFrame(br)
 		if err != nil {
-			if err != io.EOF {
-				_ = err // corrupt or torn frame: drop the conn, rely on retransmit
-			}
-			return
+			return // clean close, or a corrupt/torn frame: rely on retransmit
 		}
 		t.deliver(msg)
 	}

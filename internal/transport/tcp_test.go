@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	stdnet "net"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -316,5 +317,71 @@ func TestTCPLossAndLatencyKnobs(t *testing.T) {
 	}
 	if took := time.Since(start); took < 50*time.Millisecond {
 		t.Fatalf("latency knob ignored: delivery took %v", took)
+	}
+}
+
+// TestTCPShedFramesKeepStreamInStep bursts mixed payload types through
+// a one-slot send queue, so most messages are shed before the wire —
+// including, at random, the first message of some payload type. A shed
+// message is never encoded, so the connection's gob stream stays in
+// step: every message that was not shed arrives intact and in order.
+// (A stream out of step fails its next decode, which kills the
+// connection and everything behind it — the count would come up short.)
+func TestTCPShedFramesKeepStreamInStep(t *testing.T) {
+	tn := New(Config{
+		Listen:      map[simnet.SiteID]string{"A": "127.0.0.1:0", "B": "127.0.0.1:0"},
+		DialBackoff: 2 * time.Millisecond,
+		SendQueue:   1,
+	})
+	t.Cleanup(tn.Close)
+	if _, err := tn.AddSite("A"); err != nil {
+		t.Fatal(err)
+	}
+	inbox, err := tn.AddSite("B")
+	if err != nil {
+		t.Fatal(err)
+	}
+	burstMsg := func(i int) simnet.Message {
+		var payload any
+		switch i % 3 {
+		case 0:
+			payload = fmt.Sprintf("s%d", i)
+		case 1:
+			payload = queue.BatchFrame{Msgs: []queue.Msg{{ID: fmt.Sprintf("m%d", i), Seq: uint64(i), From: "A", Queue: "pieces"}}}
+		default:
+			payload = queue.AckFrame{IDs: []string{fmt.Sprintf("a%d", i)}}
+		}
+		return simnet.Message{From: "A", To: "B", Kind: "test", Payload: payload}
+	}
+	const burst = 3000
+	for i := 0; i < burst; i++ {
+		if err := tn.Send(burstMsg(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := tn.Stats()
+	if st.Dropped == 0 {
+		t.Fatalf("a %d-message burst through a one-slot queue shed nothing: %+v", burst, st)
+	}
+	want := int(st.Sent - st.Dropped)
+	last := -1
+	for n := 0; n < want; n++ {
+		got := recvOne(t, inbox, 5*time.Second)
+		i := -1
+		switch p := got.Payload.(type) {
+		case string:
+			fmt.Sscanf(p, "s%d", &i)
+		case queue.BatchFrame:
+			i = int(p.Msgs[0].Seq)
+		case queue.AckFrame:
+			fmt.Sscanf(p.IDs[0], "a%d", &i)
+		}
+		if i <= last || i >= burst {
+			t.Fatalf("message %d: index %d after %d", n, i, last)
+		}
+		if wantMsg := burstMsg(i); !reflect.DeepEqual(got, wantMsg) {
+			t.Fatalf("message %d corrupted:\n got  %+v\n want %+v", n, got, wantMsg)
+		}
+		last = i
 	}
 }
